@@ -62,6 +62,11 @@
 //! `overhead_pct` — the observability tax on the hottest serve path,
 //! budgeted at <= 5% (DESIGN.md, "Observability").
 //!
+//! `predict_gather` batch-serves an order-9 CP model shaped like KRIPKE,
+//! whose grid is far past the dense-table cap, through the factor-gather
+//! kernel — bitwise-guarded against `predict_batch_naive` like the other
+//! serving stages.
+//!
 //! Methodology: each stage runs once to warm caches, then `REPS` times; the
 //! minimum wall-clock is reported (least-noise estimator for a quiet
 //! machine). `baseline_wall_ms` is the same stage as measured by the PR 3
@@ -361,6 +366,75 @@ fn tucker_serving_stage(train_n: usize, batch_n: usize, rank: usize) -> Stage {
         nnz: batch_n,
         rank,
         dims: vec![12, 12],
+        sweeps: 0,
+        extra: Vec::new(),
+    }
+}
+
+/// Factor-gather serving: an order-9 CP model shaped like KRIPKE (seven
+/// integer axes of 8 cells, categorical axes of 6 and 2 choices; 25M grid
+/// cells, far past the dense-table cap), batch-served through the plan.
+/// The same bitwise guard against `predict_batch_naive` as
+/// `serving_stages`: the timed path must compute the reference function.
+fn gather_serving_stage(batch_n: usize, rank: usize) -> Stage {
+    let space = ParamSpace::new(vec![
+        ParamSpec::log_int("groups", 8.0, 128.0),
+        ParamSpec::linear_int("legendre", 0.0, 5.0),
+        ParamSpec::log_int("quad", 8.0, 128.0),
+        ParamSpec::log_int("dset", 8.0, 64.0),
+        ParamSpec::log_int("gset", 1.0, 32.0),
+        ParamSpec::categorical("layout", 6),
+        ParamSpec::categorical("solver", 2),
+        ParamSpec::log_int("tpp", 1.0, 64.0),
+        ParamSpec::log_int("ppn", 1.0, 64.0),
+    ]);
+    let cells = vec![8; space.dim()];
+    let dims = space.grid_with_cells(&cells).dims();
+    let cp = CpDecomp::random(&dims, rank, -0.8, 0.8, 41);
+    let model = CprModel::from_parts(
+        space.clone(),
+        &cells,
+        cp,
+        cpr_core::Loss::LogLeastSquares,
+        0.2,
+    )
+    .expect("perf_snapshot: gather model parts");
+    assert!(
+        !model.plan().has_dense_cache(),
+        "gather stage needs a grid past the dense cap"
+    );
+    let mut rng = StdRng::seed_from_u64(42);
+    let batch: Vec<Vec<f64>> = (0..batch_n)
+        .map(|_| {
+            space
+                .params()
+                .iter()
+                .map(|p| match p {
+                    ParamSpec::Numerical { lo, hi, .. } => {
+                        (lo + (hi - lo) * rng.gen::<f64>()).round()
+                    }
+                    ParamSpec::Categorical { cardinality, .. } => {
+                        rng.gen_range(0..*cardinality) as f64
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut out = vec![0.0; batch.len()];
+    let wall_ms = time_ms(|| {
+        model.plan().predict_into(&batch, &mut out);
+        assert!(out[0].is_finite());
+    });
+    for (naive, &fast) in model.predict_batch_naive(&batch).iter().zip(&out) {
+        assert_eq!(fast.to_bits(), naive.to_bits());
+    }
+    Stage {
+        name: "predict_gather",
+        wall_ms,
+        baseline_wall_ms: None,
+        nnz: batch_n,
+        rank,
+        dims,
         sweeps: 0,
         extra: Vec::new(),
     }
@@ -1085,6 +1159,7 @@ fn main() {
         ));
         stages.extend(serving_stages(400, 20_000, 5_000, 2));
         stages.push(tucker_serving_stage(400, 20_000, 2));
+        stages.push(gather_serving_stage(2_500, 4));
         stages.extend(registry_stages(64, 20_000));
         stages.push(obs_overhead_stage(64, 20_000));
         stages.push(churn_stage(4, 4_000, 2));
@@ -1144,6 +1219,7 @@ fn main() {
         ));
         stages.extend(serving_stages(2_000, 50_000, 20_000, 4));
         stages.push(tucker_serving_stage(2_000, 50_000, 4));
+        stages.push(gather_serving_stage(20_000, 4));
         stages.extend(registry_stages(240, 50_000));
         stages.push(obs_overhead_stage(240, 50_000));
         stages.push(churn_stage(8, 20_000, 4));

@@ -21,6 +21,7 @@ use cpr_grid::space::interpolate_corners;
 use cpr_grid::{AxisTable, ParamSpace, TensorGrid};
 use cpr_tensor::{CpDecomp, Decomposition, PackedFactors, SparseTensor, TuckerDecomp};
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -315,14 +316,7 @@ impl CprBuilder {
         let (mut obs, observed_cells) = bin_observations(&grid, data, loss)?;
         // Per-mode masks of rows with at least one observation: stencils
         // never interpolate toward fibers the optimizer saw nothing of.
-        let row_observed: Vec<Vec<bool>> = (0..grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
+        let row_observed = observed_rows(&obs);
 
         // Initialize the decomposition the optimizer's model class needs.
         let dims = grid.dims();
@@ -425,16 +419,27 @@ fn bin_observations(
     Ok((obs, observed))
 }
 
+/// Per-mode flags: does row `i` of mode `j` hold any entry of `obs`?
+fn observed_rows(obs: &SparseTensor) -> Vec<Vec<bool>> {
+    (0..obs.order())
+        .map(|m| {
+            obs.mode_index(m)
+                .iter()
+                .map(|ids| !ids.is_empty())
+                .collect()
+        })
+        .collect()
+}
+
 fn geometric_mean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.max(1e-300).ln()).sum::<f64>() / values.len().max(1) as f64).exp()
 }
 
-/// Tensor orders served through stack-allocated query scratch. Real models
-/// are order ≤ 7 (paper Table 2); higher orders fall back to a per-call
-/// heap allocation, still bitwise-correct.
+/// Largest order baked into a dense corner-value table (the dense
+/// kernel's stencil scratch lives on the stack at this bound). Real
+/// models are order ≤ 9 (paper Table 2); higher orders serve through the
+/// factor gather, still bitwise-correct.
 const PLAN_STACK_ORDER: usize = 16;
-/// Mirrors `cpr_tensor`'s stack-accumulator rank bound.
-const PLAN_STACK_RANK: usize = 64;
 /// Largest order with its own monomorphized kernel instance (fully
 /// unrolled stencil/corner loops); orders above share one bounded body.
 const MONO_ORDER_MAX: usize = 6;
@@ -448,6 +453,48 @@ const DEGEN: u32 = u32::MAX;
 /// the plan's memory footprint. Larger grids serve through the factor
 /// gather instead.
 const DENSE_EVAL_MAX: usize = 1 << 16;
+
+/// Factor-gather working set: one rank-length running Hadamard product
+/// and one running weight per live corner prefix (see
+/// [`PredictPlan::gather`]). Grow-only, so a scratch reused across
+/// queries allocates only while it first grows.
+#[derive(Debug, Default)]
+struct GatherScratch {
+    prod: Vec<f64>,
+    weight: Vec<f64>,
+}
+
+impl GatherScratch {
+    /// Room for `prefixes` prefixes of `rank` entries each; contents kept.
+    #[inline]
+    fn reserve(&mut self, prefixes: usize, rank: usize) {
+        if self.prod.len() < prefixes * rank {
+            self.prod.resize(prefixes * rank, 0.0);
+        }
+        if self.weight.len() < prefixes {
+            self.weight.resize(prefixes, 0.0);
+        }
+    }
+}
+
+/// Rank dispatch for the factor gather: ranks 1–8 get their own instance
+/// (`$run!(R)` with the rank as a constant, so the row loops have a fixed
+/// length); larger ranks share the runtime-rank instance `$run!(0)`.
+macro_rules! by_rank {
+    ($rank:expr, $run:ident) => {
+        match $rank {
+            1 => $run!(1),
+            2 => $run!(2),
+            3 => $run!(3),
+            4 => $run!(4),
+            5 => $run!(5),
+            6 => $run!(6),
+            7 => $run!(7),
+            8 => $run!(8),
+            _ => $run!(0),
+        }
+    };
+}
 
 /// Compiled query path: a one-time "bake" of a fitted [`CprModel`] into a
 /// query-optimized representation.
@@ -465,9 +512,10 @@ const DENSE_EVAL_MAX: usize = 1 << 16;
 ///   a contiguous rank-length row read from one allocation;
 /// * the observed-row masks, so Eq. 5 stencil masking needs no grid access.
 ///
-/// Serving then runs with **zero allocations per query** (stack scratch up
-/// to order 16 / rank 64) and [`Self::predict_into`] fans a batch out over
-/// the crate thread pool in fixed chunks onto a caller-provided buffer.
+/// Serving then runs with **zero allocations per query** (stack scratch on
+/// the dense path, reused gather scratch otherwise) and
+/// [`Self::predict_into`] fans a batch out over the crate thread pool in
+/// fixed chunks onto a caller-provided buffer.
 ///
 /// Determinism contract: `plan.predict(x)` is **bitwise identical** to the
 /// naive reference path [`CprModel::predict_naive`] for every non-NaN
@@ -664,12 +712,12 @@ impl PredictPlan {
         }
     }
 
-    /// Monomorphization dispatch on the tensor order: each arm pins the
-    /// order to a constant, so the kernel instance gets fully unrolled
-    /// stencil and corner loops (serving models are order 2–7, where loop
-    /// control would otherwise dominate the per-corner math); the
+    /// Monomorphization dispatch: grids with a dense bake run the dense
+    /// kernel with the order pinned to a constant (fully unrolled stencil
+    /// and corner loops for the order 2–6 serving models); the
     /// `LOG_CORNERS` constant hoists the loss branch out of the corner
-    /// loop. Grids with a dense bake skip the factor gather entirely.
+    /// loop. Grids without one run the factor gather on this thread's
+    /// scratch.
     #[inline]
     fn predict_one<const LOG_CORNERS: bool>(&self, x: &[f64]) -> f64 {
         if self.dense.is_some() {
@@ -687,28 +735,20 @@ impl PredictPlan {
         if self.tucker_core.is_some() {
             return self.predict_tucker_fallback(x);
         }
-        if self.rank <= PLAN_STACK_RANK {
-            let mut acc = [0.0f64; PLAN_STACK_RANK];
-            self.predict_factor::<LOG_CORNERS>(x, &mut acc[..self.rank])
-        } else {
-            let mut acc = vec![0.0f64; self.rank];
-            self.predict_factor::<LOG_CORNERS>(x, &mut acc)
+        thread_local! {
+            /// Grow-only gather scratch, reused by every single query this
+            /// thread serves: no allocation and no zeroing per query.
+            static SCRATCH: RefCell<GatherScratch> = RefCell::default();
         }
-    }
-
-    /// Factor-gather serving path (grids too large for the dense bake).
-    #[inline]
-    fn predict_factor<const LOG_CORNERS: bool>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
-        match x.len() {
-            1 => self.kernel::<1, LOG_CORNERS>(x, acc),
-            2 => self.kernel::<2, LOG_CORNERS>(x, acc),
-            3 => self.kernel::<3, LOG_CORNERS>(x, acc),
-            4 => self.kernel::<4, LOG_CORNERS>(x, acc),
-            5 => self.kernel::<5, LOG_CORNERS>(x, acc),
-            6 => self.kernel::<6, LOG_CORNERS>(x, acc),
-            d if d <= PLAN_STACK_ORDER => self.kernel::<PLAN_STACK_ORDER, LOG_CORNERS>(x, acc),
-            _ => self.predict_dyn::<LOG_CORNERS>(x, acc),
-        }
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            macro_rules! run {
+                ($r:literal) => {
+                    self.gather::<$r, LOG_CORNERS>(x, s)
+                };
+            }
+            by_rank!(self.rank, run)
+        })
     }
 
     /// Single-query kernel over the dense corner-value table.
@@ -792,79 +832,85 @@ impl PredictPlan {
         apply_mask(&self.row_observed[j], i0, i1, w1)
     }
 
-    /// Eq. 5 corner expansion for query `k` of an axis-major block of `m`
-    /// queries: `st[j*m + k]` holds mode `j`'s `(w1, degenerate)` stencil,
-    /// `rows0`/`rows1` the hoisted packed factor rows; a single query is
-    /// the `m = 1, k = 0` case. `DCAP` in `1..=MONO_ORDER_MAX` pins the
-    /// order to a constant for full unrolling (`0` = dynamic order).
-    /// Every floating-point operation mirrors the naive
-    /// `interpolate_corners` + `CpDecomp::eval` chain in the same order
-    /// (the accumulator seeds with the first mode's row instead of
-    /// multiplying it into ones — `1.0 * u ≡ u` bitwise for every non-NaN
-    /// `u`), which is what makes the bitwise contract hold.
+    /// Eq. 5 over the CP factors by **level-by-level doubling**: walk the
+    /// modes in order, keeping one rank-length running Hadamard product
+    /// and one running weight per live corner prefix.
     ///
-    /// `inline(always)`: monomorphized per `(DCAP, loss)` and called once
-    /// per query from the serving loops — left outlined, the eight-argument
-    /// call frame costs ~30% of the whole query.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn corner_expand<const DCAP: usize, const LOG_CORNERS: bool>(
+    /// * A mode with two live corners doubles the set: the prefixes become
+    ///   `[P ⊙ row₀, P ⊙ row₁]` with weights `[W·(1−w₁), W·w₁]`.
+    /// * A mode with one live corner multiplies in place by its row. That
+    ///   is a degenerate (point) stencil, or `w₁` exactly `0` or `1`,
+    ///   where the other corner's weight is exactly zero. The surviving
+    ///   weight factor is exactly `1.0`, so `W` stays as it is.
+    /// * Finally `Σ W·ΣP` (`ln ΣP` under MLogQ²) over prefixes with
+    ///   `W ≠ 0`, in ascending prefix index.
+    ///
+    /// This is bitwise identical to the naive `interpolate_corners` +
+    /// `CpDecomp::eval` chain. The prefix index, read as bits over the
+    /// doubling modes, is the naive corner mask with its dead bits
+    /// removed, so the sum visits the same corners in the same order.
+    /// Each product is the same left fold `((1·r₀)·r₁)·…`, each weight
+    /// the same `1·f₀·f₁·…` chain. A corner dropped here has weight
+    /// exactly zero, which the naive loop skips too. Work per query is
+    /// about `2·2^L·R` multiplies for `L` doubling modes, against
+    /// `2^L·(d−1)·R` for a fresh product per corner.
+    ///
+    /// `R` pins the rank for small ranks (`0` = read it from the plan),
+    /// so the row loops compile to fixed-length vector code.
+    #[inline]
+    fn gather<const R: usize, const LOG_CORNERS: bool>(
         &self,
-        d: usize,
-        m: usize,
-        k: usize,
-        st: &[(f64, bool)],
-        rows0: &[&[f64]],
-        rows1: &[&[f64]],
-        acc: &mut [f64],
+        x: &[f64],
+        s: &mut GatherScratch,
     ) -> f64 {
-        // Binding the loop bound to the *constant* (not the runtime order)
-        // is what guarantees unrolling even when this body is not inlined
-        // into its dispatch arm.
-        let d = if DCAP >= 1 && DCAP <= MONO_ORDER_MAX {
-            assert_eq!(d, DCAP, "corner_expand: order/DCAP mismatch");
-            DCAP
-        } else {
-            d
-        };
-        let mut total = 0.0;
-        let corners = 1usize << d;
-        'corner: for mask in 0..corners {
-            let mut weight = 1.0;
-            for j in 0..d {
-                let (w1, degen) = st[j * m + k];
-                if (mask >> j) & 1 == 1 {
-                    if degen {
-                        continue 'corner; // degenerate mode: only corner 0
+        let rank = if R == 0 { self.rank } else { R };
+        debug_assert_eq!(rank, self.rank, "gather: rank instance mismatch");
+        s.reserve(1, rank);
+        s.prod[..rank].fill(1.0);
+        s.weight[0] = 1.0;
+        let mut n = 1;
+        for (j, &xj) in x.iter().enumerate() {
+            let (a0, a1, w1, degen) = self.masked_stencil(j, xj);
+            let single = if degen || w1 == 0.0 {
+                Some(a0)
+            } else if w1 == 1.0 {
+                Some(a1)
+            } else {
+                None
+            };
+            if let Some(i) = single {
+                let row = self.packed.row(j, i);
+                for p in s.prod[..n * rank].chunks_exact_mut(rank) {
+                    for (a, &u) in p.iter_mut().zip(row) {
+                        *a *= u;
                     }
-                    weight *= w1;
-                } else {
-                    weight *= if degen { 1.0 } else { 1.0 - w1 };
                 }
-            }
-            if weight == 0.0 {
                 continue;
             }
-            let first = if mask & 1 == 1 { rows1[k] } else { rows0[k] };
-            // Element loop, not `copy_from_slice`: the slice length is
-            // runtime (the rank), and the memcpy PLT call it lowers to
-            // costs more than the handful of moves it replaces.
-            for (a, &u) in acc.iter_mut().zip(first) {
-                *a = u;
-            }
-            for j in 1..d {
-                let row = if (mask >> j) & 1 == 1 {
-                    rows1[j * m + k]
-                } else {
-                    rows0[j * m + k]
-                };
-                for (a, &u) in acc.iter_mut().zip(row) {
-                    *a *= u;
+            let (r0, r1) = (self.packed.row(j, a0), self.packed.row(j, a1));
+            s.reserve(2 * n, rank);
+            let (lo, hi) = s.prod[..2 * n * rank].split_at_mut(n * rank);
+            for (l, h) in lo.chunks_exact_mut(rank).zip(hi.chunks_exact_mut(rank)) {
+                for (((a, b), &u0), &u1) in l.iter_mut().zip(h.iter_mut()).zip(r0).zip(r1) {
+                    *b = *a * u1;
+                    *a *= u0;
                 }
             }
-            let v: f64 = acc.iter().sum();
+            let (wl, wh) = s.weight[..2 * n].split_at_mut(n);
+            for (w, v) in wl.iter_mut().zip(wh.iter_mut()) {
+                *v = *w * w1;
+                *w *= 1.0 - w1;
+            }
+            n *= 2;
+        }
+        let mut total = 0.0;
+        for (p, &w) in s.prod[..n * rank].chunks_exact(rank).zip(&s.weight[..n]) {
+            if w == 0.0 {
+                continue;
+            }
+            let v: f64 = p.iter().sum();
             let v = if LOG_CORNERS { v.max(1e-300).ln() } else { v };
-            total += weight * v;
+            total += w * v;
         }
         let log_pred = if LOG_CORNERS {
             total
@@ -872,28 +918,6 @@ impl PredictPlan {
             total + self.log_offset
         };
         log_pred.clamp(-690.0, 690.0).exp()
-    }
-
-    /// Single-query kernel: masked stencils into `DCAP`-bounded stack
-    /// arrays, then the corner expansion.
-    #[inline]
-    fn kernel<const DCAP: usize, const LOG_CORNERS: bool>(
-        &self,
-        x: &[f64],
-        acc: &mut [f64],
-    ) -> f64 {
-        let d = x.len();
-        assert!(d <= DCAP, "kernel: order {d} exceeds scratch cap {DCAP}");
-        let mut st = [(0.0f64, false); DCAP];
-        let mut rows0: [&[f64]; DCAP] = [&[]; DCAP];
-        let mut rows1: [&[f64]; DCAP] = [&[]; DCAP];
-        for j in 0..d {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, x[j]);
-            st[j] = (w1, degen);
-            rows0[j] = self.packed.row(j, a0);
-            rows1[j] = self.packed.row(j, a1);
-        }
-        self.corner_expand::<DCAP, LOG_CORNERS>(d, 1, 0, &st[..d], &rows0[..d], &rows1[..d], acc)
     }
 
     /// Tucker factor-gather fallback: grids beyond the dense cap (or above
@@ -933,24 +957,6 @@ impl PredictPlan {
         log_pred.clamp(-690.0, 690.0).exp()
     }
 
-    /// Orders beyond [`PLAN_STACK_ORDER`]: same kernel over heap scratch.
-    /// Cold by construction — the corner expansion is `2^d` regardless of
-    /// path, so per-call allocation is noise here.
-    #[cold]
-    fn predict_dyn<const LOG_CORNERS: bool>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
-        let d = x.len();
-        let mut st = vec![(0.0f64, false); d];
-        let mut rows0: Vec<&[f64]> = vec![&[]; d];
-        let mut rows1: Vec<&[f64]> = vec![&[]; d];
-        for j in 0..d {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, x[j]);
-            st[j] = (w1, degen);
-            rows0[j] = self.packed.row(j, a0);
-            rows1[j] = self.packed.row(j, a1);
-        }
-        self.corner_expand::<0, LOG_CORNERS>(d, 1, 0, &st, &rows0, &rows1, acc)
-    }
-
     /// Batched prediction onto a caller-provided buffer. Chunks fan out
     /// over the crate thread pool; within a chunk the serve is a two-pass
     /// pipeline — **batched grid quantization** (axis-major through
@@ -960,8 +966,8 @@ impl PredictPlan {
     /// dense-table corner expansion per query. Scratch is per chunk;
     /// individual queries allocate nothing. Outputs land at the input
     /// index, so results are independent of the worker count. Grids
-    /// without a dense bake fall back to the per-query factor-gather
-    /// kernel.
+    /// without a dense bake run the factor gather per query, on one
+    /// gather scratch per chunk.
     pub fn predict_into<X: AsRef<[f64]> + Sync>(&self, xs: &[X], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "predict_into: output length mismatch");
         /// Queries per parallel work item: small enough to load-balance a
@@ -994,21 +1000,16 @@ impl PredictPlan {
                         }
                         return;
                     }
-                    // Factor-gather fallback (grid too large to pre-evaluate).
-                    let mut acc_buf = [0.0f64; PLAN_STACK_RANK];
-                    let mut acc_vec;
-                    let acc: &mut [f64] = if self.rank <= PLAN_STACK_RANK {
-                        &mut acc_buf[..self.rank]
-                    } else {
-                        acc_vec = vec![0.0f64; self.rank];
-                        &mut acc_vec
-                    };
-                    for (o, x) in chunk.iter_mut().zip(&xr) {
-                        *o = match self.loss {
-                            Loss::LogLeastSquares => self.predict_factor::<false>(x, acc),
-                            Loss::MLogQ2 => self.predict_factor::<true>(x, acc),
+                    // Factor gather (grid too large to pre-evaluate).
+                    macro_rules! run {
+                        ($r:literal) => {
+                            match self.loss {
+                                Loss::LogLeastSquares => self.gather_all::<$r, false>(&xr, chunk),
+                                Loss::MLogQ2 => self.gather_all::<$r, true>(&xr, chunk),
+                            }
                         };
                     }
+                    by_rank!(self.rank, run);
                     return;
                 };
                 // Pass A: batched masked quantization, axis-major — stencil
@@ -1032,6 +1033,15 @@ impl PredictPlan {
                     Loss::MLogQ2 => self.pass_b_dense::<true>(chunk, d, m, &st, &dense.values),
                 }
             });
+    }
+
+    /// Factor gather over a block of queries, on one scratch shared by
+    /// the block.
+    fn gather_all<const R: usize, const LOG_CORNERS: bool>(&self, xs: &[&[f64]], out: &mut [f64]) {
+        let mut scratch = GatherScratch::default();
+        for (o, x) in out.iter_mut().zip(xs) {
+            *o = self.gather::<R, LOG_CORNERS>(x, &mut scratch);
+        }
     }
 
     /// Pass B of the batched serve: order dispatch hoisted out of the
@@ -1242,18 +1252,16 @@ impl CprModel {
         log_offset: f64,
     ) -> Result<CprModel> {
         let decomp = decomp.into();
-        Self::validate_tags(&decomp, optimizer, loss)?;
-        let grid = Self::validated_grid(&space, cells, &decomp)?;
-        let row_observed: Vec<Vec<bool>> = grid.dims().iter().map(|&d| vec![true; d]).collect();
-        Ok(Self::assemble(
+        let row_observed = decomp.dims().iter().map(|&n| vec![true; n]).collect();
+        Self::from_parts_observed(
             space,
-            grid,
+            cells,
             decomp,
             optimizer,
             loss,
             log_offset,
             row_observed,
-        ))
+        )
     }
 
     /// [`Self::from_parts`] with observed-row masks taken from an
@@ -1270,16 +1278,40 @@ impl CprModel {
     ) -> Result<CprModel> {
         let decomp = decomp.into();
         let optimizer = Self::implied_optimizer(&decomp, loss);
+        Self::from_parts_observed(
+            space,
+            cells,
+            decomp,
+            optimizer,
+            loss,
+            log_offset,
+            observed_rows(obs),
+        )
+    }
+
+    /// [`Self::from_parts_tagged`] with explicit observed-row masks, one
+    /// flag per grid row of each mode (the serialization reader restores
+    /// a model's masks through this). Masks of the wrong shape are
+    /// refused.
+    pub(crate) fn from_parts_observed(
+        space: ParamSpace,
+        cells: &[usize],
+        decomp: Decomposition,
+        optimizer: Optimizer,
+        loss: Loss,
+        log_offset: f64,
+        row_observed: Vec<Vec<bool>>,
+    ) -> Result<CprModel> {
         Self::validate_tags(&decomp, optimizer, loss)?;
         let grid = Self::validated_grid(&space, cells, &decomp)?;
-        let row_observed: Vec<Vec<bool>> = (0..grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
+        let dims = grid.dims();
+        if row_observed.len() != dims.len()
+            || row_observed.iter().zip(&dims).any(|(m, &n)| m.len() != n)
+        {
+            return Err(CprError::InvalidConfig(
+                "observed-row masks do not match the grid dims".into(),
+            ));
+        }
         Ok(Self::assemble(
             space,
             grid,
@@ -1474,15 +1506,13 @@ impl CprModel {
     /// the streaming updater after warm-started refits). Invalidates and
     /// rebakes the [`PredictPlan`] — masks are part of the baked state.
     pub fn set_row_observed_from(&mut self, obs: &SparseTensor) {
-        self.row_observed = (0..self.grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
+        self.row_observed = observed_rows(obs);
         self.plan = Arc::new(self.bake_plan());
+    }
+
+    /// Per-mode observed-row flags the stencils mask with.
+    pub(crate) fn row_observed(&self) -> &[Vec<bool>] {
+        &self.row_observed
     }
 
     /// Training loss selection.

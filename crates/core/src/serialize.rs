@@ -3,8 +3,9 @@
 //! The paper measures model size by dumping fitted models to a file; this
 //! module makes that concrete for CPR with a versioned little-endian format
 //! (magic `CPRM`). Only the inference state is stored: parameter specs,
-//! per-mode cell counts, the loss and optimizer tags, and the decomposition
-//! (CP factor matrices, or Tucker factors plus core).
+//! per-mode cell counts, the loss and optimizer tags, the observed-row
+//! masks, and the decomposition (CP factor matrices, or Tucker factors plus
+//! core).
 //!
 //! ## Version history
 //!
@@ -14,7 +15,14 @@
 //! * **v2** — adds an explicit [`Optimizer`] tag and a decomposition tag
 //!   (`0` = CP, `1` = Tucker with per-mode multilinear ranks and a dense
 //!   core), so Tucker-ALS models round-trip and the optimizer survives
-//!   reserialization. Writers emit v2.
+//!   reserialization. Still readable, as all-observed (see v3).
+//! * **v3** — v2 plus the observed-row masks, between the axes and the
+//!   decomposition tag: per mode, one byte per grid row, `1` if training
+//!   observed any cell in that row and `0` if not (any other byte is
+//!   corrupt). The masks decide where a stencil collapses to a point
+//!   (Eq. 5 masking), so a restored model serves exactly what its trainer
+//!   served; v1/v2 files carry none and decode with every row observed.
+//!   Writers emit v3.
 
 use crate::error::{CprError, Result};
 use crate::model::{CprModel, Loss};
@@ -24,7 +32,7 @@ use cpr_grid::{ParamSpace, ParamSpec, Spacing};
 use cpr_tensor::{CpDecomp, Decomposition, DenseTensor, Matrix, TuckerDecomp};
 
 const MAGIC: u32 = 0x4350_524D; // "CPRM"
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 const DECOMP_CP: u8 = 0;
 const DECOMP_TUCKER: u8 = 1;
@@ -68,7 +76,7 @@ fn optimizer_from_tag(tag: u8) -> Result<Optimizer> {
     })
 }
 
-/// Serialize a trained model to bytes (current version: v2).
+/// Serialize a trained model to bytes (current version: v3).
 pub fn to_bytes(model: &CprModel) -> Bytes {
     let mut buf = BytesMut::with_capacity(model.size_bytes() + 256);
     buf.put_u32_le(MAGIC);
@@ -108,6 +116,11 @@ pub fn to_bytes(model: &CprModel) -> Bytes {
                 buf.put_f64_le(0.0);
                 buf.put_u32_le(*cardinality as u32);
             }
+        }
+    }
+    for mask in model.row_observed() {
+        for &observed in mask {
+            buf.put_u8(u8::from(observed));
         }
     }
     match model.decomposition() {
@@ -162,7 +175,7 @@ fn need(data: &&[u8], n: usize, what: &str) -> Result<()> {
     }
 }
 
-/// Shared axis-table reader (identical layout in v1 and v2): returns the
+/// Shared axis-table reader (identical layout in every version): returns the
 /// parameter specs and per-mode cell counts.
 fn read_axes(data: &mut &[u8], order: usize) -> Result<(Vec<ParamSpec>, Vec<usize>)> {
     let mut specs = Vec::with_capacity(order);
@@ -233,6 +246,26 @@ fn read_axes(data: &mut &[u8], order: usize) -> Result<(Vec<ParamSpec>, Vec<usiz
     Ok((specs, cells))
 }
 
+/// v3 observed-row masks: per mode, one `0`/`1` byte per grid row.
+fn read_masks(data: &mut &[u8], cells: &[usize]) -> Result<Vec<Vec<bool>>> {
+    cells
+        .iter()
+        .map(|&n| {
+            need(data, n, "observed-row mask")?;
+            let (bytes, rest) = data.split_at(n);
+            *data = rest;
+            bytes
+                .iter()
+                .map(|&b| match b {
+                    0 => Ok(false),
+                    1 => Ok(true),
+                    other => Err(CprError::Corrupt(format!("bad observed-row flag {other}"))),
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Read one factor matrix (`rows` header + `rows * cols` doubles),
 /// rejecting non-finite entries.
 fn read_factor(data: &mut &[u8], cols: usize) -> Result<Matrix> {
@@ -250,7 +283,7 @@ fn read_factor(data: &mut &[u8], cols: usize) -> Result<Matrix> {
 }
 
 /// Deserialize a model previously produced by [`to_bytes`] — any format
-/// version ever emitted (v1 or v2).
+/// version ever emitted (v1, v2 or v3).
 pub fn from_bytes(mut data: &[u8]) -> Result<CprModel> {
     need(&data, 6, "header")?;
     if data.get_u32_le() != MAGIC {
@@ -259,7 +292,8 @@ pub fn from_bytes(mut data: &[u8]) -> Result<CprModel> {
     let version = data.get_u16_le();
     match version {
         1 => from_bytes_v1(data),
-        2 => from_bytes_v2(data),
+        2 => from_bytes_v2(data, false),
+        3 => from_bytes_v2(data, true),
         other => Err(CprError::Corrupt(format!("unsupported version {other}"))),
     }
 }
@@ -293,8 +327,9 @@ fn from_bytes_v1(mut data: &[u8]) -> Result<CprModel> {
 }
 
 /// v2 body: optimizer tag, loss tag, log offset, axes, decomposition tag +
-/// payload.
-fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
+/// payload. A v3 body (`masks`) adds the observed-row masks after the
+/// axes; without them every row decodes as observed.
+fn from_bytes_v2(mut data: &[u8], masks: bool) -> Result<CprModel> {
     need(&data, 1 + 1 + 8 + 2, "v2 header")?;
     let optimizer = optimizer_from_tag(data.get_u8())?;
     let loss = loss_from_tag(data.get_u8())?;
@@ -313,6 +348,7 @@ fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
         return Err(CprError::Corrupt("zero tensor order".into()));
     }
     let (specs, cells) = read_axes(&mut data, order)?;
+    let row_observed = masks.then(|| read_masks(&mut data, &cells)).transpose()?;
     need(&data, 1, "decomposition tag")?;
     let decomp = match data.get_u8() {
         DECOMP_CP => {
@@ -376,8 +412,13 @@ fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
         other => return Err(CprError::Corrupt(format!("bad decomposition tag {other}"))),
     };
     let space = ParamSpace::new(specs);
-    CprModel::from_parts_tagged(space, &cells, decomp, optimizer, loss, log_offset)
-        .map_err(as_corrupt)
+    match row_observed {
+        Some(masks) => {
+            CprModel::from_parts_observed(space, &cells, decomp, optimizer, loss, log_offset, masks)
+        }
+        None => CprModel::from_parts_tagged(space, &cells, decomp, optimizer, loss, log_offset),
+    }
+    .map_err(as_corrupt)
 }
 
 #[cfg(test)]

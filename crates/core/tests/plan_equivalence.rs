@@ -150,6 +150,133 @@ proptest! {
     }
 }
 
+/// A model of order 6–9 whose grid is past the dense-bake cap: six
+/// numerical axes of 7–10 cells (at least 7⁶ > 2¹⁶ cells), plus up to
+/// three more axes of any kind, rotated so categorical (always
+/// degenerate) modes land anywhere in the mode order. Masks are random:
+/// each mode keeps a random non-empty subset of its rows observed, so
+/// masked point stencils mix in as well.
+fn gather_model(
+    kinds: &[(usize, usize)],
+    shift: usize,
+    rank: usize,
+    loss: Loss,
+    seed: u64,
+) -> (CprModel, Vec<ParamSpec>) {
+    let mut params = Vec::new();
+    let mut cells = Vec::new();
+    for (j, &(kind, n)) in kinds.iter().enumerate() {
+        let kind = if j < 6 { kind % 4 } else { kind };
+        let (spec, c) = match kind {
+            0 => (ParamSpec::log("a", 1.0, 1e4), n),
+            1 => (ParamSpec::linear("a", -5.0, 20.0), n),
+            2 => (ParamSpec::log_int("a", 1.0, 4096.0), n),
+            3 => (ParamSpec::linear_int("a", 0.0, 64.0), n),
+            _ => (ParamSpec::categorical("a", n - 5), n - 5),
+        };
+        params.push(spec);
+        cells.push(c);
+    }
+    let shift = shift % params.len();
+    params.rotate_left(shift);
+    cells.rotate_left(shift);
+    let space = ParamSpace::new(params.clone());
+    let dims = space.grid_with_cells(&cells).dims();
+    let (lo, hi) = match loss {
+        Loss::LogLeastSquares => (-1.0, 1.0),
+        Loss::MLogQ2 => (0.1, 1.5),
+    };
+    let offset = if loss == Loss::LogLeastSquares {
+        0.37
+    } else {
+        0.0
+    };
+    let cp = CpDecomp::random(&dims, rank, lo, hi, seed);
+    let mut model = CprModel::from_parts(space, &cells, cp, loss, offset).unwrap();
+    // Observed rows per mode; one observation per row index round-robin
+    // marks exactly those rows.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0bad_cafe);
+    let observed: Vec<Vec<usize>> = dims
+        .iter()
+        .map(|&n| {
+            let rows: Vec<usize> = (0..n).filter(|_| rng.gen::<f64>() < 0.7).collect();
+            if rows.is_empty() {
+                vec![rng.gen_range(0..n)]
+            } else {
+                rows
+            }
+        })
+        .collect();
+    let mut obs = cpr_tensor::SparseTensor::new(&dims);
+    let most = observed.iter().map(Vec::len).max().unwrap();
+    for k in 0..most {
+        let idx: Vec<usize> = observed.iter().map(|rows| rows[k % rows.len()]).collect();
+        obs.push(&idx, 1.0);
+    }
+    model.set_row_observed_from(&obs);
+    (model, params)
+}
+
+/// Probe for one axis of a gather model: random in and around the range,
+/// or exactly on a cell midpoint (a stencil weight of exactly 0 or 1).
+fn gather_probe(model: &CprModel, j: usize, spec: &ParamSpec, rng: &mut StdRng) -> f64 {
+    if rng.gen::<f64>() < 0.25 {
+        let mids = model.grid().axis(j).midpoints();
+        return mids[rng.gen_range(0..mids.len())];
+    }
+    probe_for(spec, rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The factor-gather path (no dense table) is bitwise identical to
+    /// the naive reference for single queries, batched queries and at 1
+    /// and 4 threads: orders 6–9, mixed degenerate modes, random masks,
+    /// both losses, ranks 1–8 (the constant-rank kernels) and above
+    /// (the runtime-rank kernel, including one past the naive path's
+    /// stack accumulator).
+    #[test]
+    fn factor_gather_is_bitwise_identical_at_high_order(
+        kinds in proptest::collection::vec((0usize..5, 7usize..11), 6..10),
+        shift in 0usize..9,
+        rank_pick in 0usize..11,
+        log_loss in 0usize..2,
+        seed in 0u64..1_000,
+    ) {
+        let rank = match rank_pick {
+            0..=7 => rank_pick + 1,
+            8 => 11,
+            _ => 65,
+        };
+        let loss = if log_loss == 0 { Loss::LogLeastSquares } else { Loss::MLogQ2 };
+        let (model, specs) = gather_model(&kinds, shift, rank, loss, seed);
+        prop_assert!(!model.plan().has_dense_cache(), "grid must be past the dense cap");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7777);
+        let n = if rank > 8 { 40 } else { 300 };
+        let batch: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                specs
+                    .iter()
+                    .enumerate()
+                    .map(|(j, s)| gather_probe(&model, j, s, &mut rng))
+                    .collect()
+            })
+            .collect();
+        let run = |threads: usize| {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| model.predict_batch(&batch))
+        };
+        let (one, four) = (run(1), run(4));
+        for (k, x) in batch.iter().enumerate() {
+            let naive = model.predict_naive(x).to_bits();
+            prop_assert_eq!(model.predict(x).to_bits(), naive, "single {:?}", x);
+            prop_assert_eq!(one[k].to_bits(), naive, "batch, 1 thread, {:?}", x);
+            prop_assert_eq!(four[k].to_bits(), naive, "batch, 4 threads, {:?}", x);
+        }
+    }
+}
+
 /// Grids beyond the dense-bake cap (64k cells) serve through the
 /// factor-gather fallback; that path must satisfy the same bitwise
 /// contract, for both single and batched queries.

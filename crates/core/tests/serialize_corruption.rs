@@ -6,9 +6,10 @@
 //! never an allocation beyond a small multiple of the input size (a
 //! 30-byte file must not be able to request a 4-billion-cell axis).
 //!
-//! Both readable format versions are swept: v2 bytes come from the
-//! current writer, v1 bytes are hand-crafted here (no v1 writer exists
-//! anymore — the layout is frozen in the module docs and this test).
+//! Every readable format version is swept: v3 bytes come from the
+//! current writer; v2 and v1 bytes are hand-crafted here (no writer emits
+//! them anymore — their layouts are frozen in the module docs and this
+//! test).
 
 use cpr_core::{serialize, CprBuilder, CprError, CprModel, Dataset, Loss};
 use cpr_grid::{ParamSpace, ParamSpec, Spacing};
@@ -99,6 +100,27 @@ fn v1_bytes(model: &CprModel) -> Vec<u8> {
     b
 }
 
+/// Byte offset of the v3 observed-row mask section (it follows the
+/// axes) and its length (one byte per grid row of each mode).
+fn mask_section(model: &CprModel) -> (usize, usize) {
+    let grid = model.grid();
+    let axes: usize = (0..grid.order())
+        .map(|m| 2 + grid.axis(m).spec().name().len() + 22)
+        .sum();
+    (18 + axes, grid.dims().iter().sum())
+}
+
+/// v2 encoding: the v3 bytes with the version set to 2 and the mask
+/// section cut out — byte-for-byte the layout the v2 writer produced.
+fn v2_bytes(model: &CprModel) -> Vec<u8> {
+    let v3 = serialize::to_bytes(model).to_vec();
+    let (off, len) = mask_section(model);
+    let mut b = v3[..off].to_vec();
+    b[4..6].copy_from_slice(&2u16.to_le_bytes());
+    b.extend_from_slice(&v3[off + len..]);
+    b
+}
+
 /// The only two acceptable outcomes for untrusted bytes.
 fn ok_or_corrupt(bytes: &[u8], what: impl std::fmt::Display) {
     let outcome = catch_unwind(AssertUnwindSafe(|| serialize::from_bytes(bytes)));
@@ -136,7 +158,8 @@ fn hand_crafted_v1_bytes_parse_bitwise_equal() {
 fn every_truncation_is_corrupt_never_panic() {
     let model = trained_model();
     for (tag, bytes) in [
-        ("v2", serialize::to_bytes(&model).to_vec()),
+        ("v3", serialize::to_bytes(&model).to_vec()),
+        ("v2", v2_bytes(&model)),
         ("v1", v1_bytes(&model)),
     ] {
         for cut in 0..bytes.len() {
@@ -158,7 +181,7 @@ fn every_single_bit_flip_is_ok_or_corrupt_never_panic() {
     for bit in 0..bytes.len() * 8 {
         let mut m = bytes.clone();
         m[bit / 8] ^= 1 << (bit % 8);
-        ok_or_corrupt(&m, format_args!("v2 bit {bit}"));
+        ok_or_corrupt(&m, format_args!("v3 bit {bit}"));
     }
 }
 
@@ -179,7 +202,7 @@ fn every_single_byte_stomp_on_v1_is_ok_or_corrupt_never_panic() {
 fn hostile_axis_cell_count_is_corrupt_not_an_allocation() {
     let model = trained_model();
     let mut bytes = serialize::to_bytes(&model).to_vec();
-    // v2 layout: magic(4) version(2) optimizer(1) loss(1) log_offset(8)
+    // v3 layout: magic(4) version(2) optimizer(1) loss(1) log_offset(8)
     // order(2) = 18, then axis 0: name_len(2) + "m"(1) + kind(1) +
     // integer(1) + lo(8) + hi(8) = 21 — the u32 cell count sits at 39.
     let off = 39;
@@ -200,6 +223,62 @@ fn hostile_axis_cell_count_is_corrupt_not_an_allocation() {
         serialize::from_bytes(&bytes),
         Err(CprError::Corrupt(_))
     ));
+}
+
+/// v2 bytes (no mask section) decode with every row observed: the same
+/// predictions as the model's parts assembled without masks.
+#[test]
+fn v2_bytes_decode_as_all_observed() {
+    let model = trained_model();
+    let restored = serialize::from_bytes(&v2_bytes(&model)).unwrap();
+    let unmasked = CprModel::from_parts_tagged(
+        model.space().clone(),
+        &model.grid().dims(),
+        model.decomposition().clone(),
+        model.optimizer(),
+        model.loss(),
+        model.log_offset(),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    for _ in 0..32 {
+        let probe = vec![
+            32.0 * 64.0_f64.powf(rng.gen::<f64>()),
+            rng.gen::<f64>() * 10.0,
+            rng.gen_range(0..2usize) as f64,
+        ];
+        assert_eq!(
+            restored.predict(&probe).to_bits(),
+            unmasked.predict(&probe).to_bits(),
+            "v2 decode drift at {probe:?}"
+        );
+    }
+    assert_eq!(restored.optimizer(), model.optimizer());
+}
+
+/// A mask byte other than 0 or 1 is corrupt, wherever it sits in the
+/// section; 0 and 1 in any position parse.
+#[test]
+fn bad_mask_flag_is_corrupt() {
+    let model = trained_model();
+    let bytes = serialize::to_bytes(&model).to_vec();
+    let (off, len) = mask_section(&model);
+    assert!(bytes[off..off + len].iter().all(|&b| b <= 1));
+    for i in off..off + len {
+        for flag in [2u8, 0x80, 0xFF] {
+            let mut m = bytes.clone();
+            m[i] = flag;
+            match serialize::from_bytes(&m) {
+                Err(CprError::Corrupt(msg)) => {
+                    assert!(msg.contains("observed-row flag"), "byte {i}: {msg}")
+                }
+                other => panic!("mask byte {i} = {flag}: want Corrupt, got {other:?}"),
+            }
+        }
+        let mut m = bytes.clone();
+        m[i] ^= 1;
+        assert!(serialize::from_bytes(&m).is_ok(), "flipped flag {i}");
+    }
 }
 
 proptest! {

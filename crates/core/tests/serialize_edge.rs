@@ -1,16 +1,19 @@
-//! Serialize v2 edge cases the registry loader will hit in production:
+//! Serialize v3 edge cases the registry loader will hit in production:
 //! zero-observation models, 1-cell axes, and maximum-order (d = 6) grids —
 //! each round-tripped through `to_bytes`/`from_bytes` and then served off
 //! the plan the reader bakes.
 
-use cpr_core::{serialize, CprModel, Loss};
+use cpr_apps::{Benchmark, QrFactorization};
+use cpr_core::{serialize, CprBuilder, CprModel, Loss};
 use cpr_grid::{ParamSpace, ParamSpec};
 use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 
-/// Masks are serving-side state, not wire state: a model whose every grid
-/// row is unobserved (a freshly provisioned fleet slot, say) serializes to
-/// the same bytes as its all-observed twin, loads cleanly, and the loaded
-/// model serves off the factor values exactly as `from_parts` would.
+/// Masks are wire state: a model whose every grid row is unobserved (a
+/// freshly provisioned fleet slot, say) or only partly observed
+/// serializes to different bytes than its all-observed twin, and each
+/// loads back serving exactly what it served before — a restored
+/// partly observed model takes the masked point-stencil fallback just
+/// as the original did.
 #[test]
 fn zero_observation_model_roundtrips() {
     let space = ParamSpace::new(vec![
@@ -24,23 +27,47 @@ fn zero_observation_model_roundtrips() {
     // Strip every observation: an empty tensor marks all rows unobserved.
     let mut zero = full.clone();
     zero.set_row_observed_from(&SparseTensor::new(&[5, 4]));
+    // Observe rows {0, 2, 4} of mode 0 and {0, 1, 3} of mode 1.
+    let mut partial = full.clone();
+    let mut obs = SparseTensor::new(&[5, 4]);
+    for idx in [[0, 0], [2, 1], [4, 3]] {
+        obs.push(&idx, 1.0);
+    }
+    partial.set_row_observed_from(&obs);
 
     let bytes_full = serialize::to_bytes(&full);
-    let bytes_zero = serialize::to_bytes(&zero);
-    assert_eq!(bytes_zero, bytes_full, "masks must not leak into the wire");
-
-    let restored = serialize::from_bytes(&bytes_zero).unwrap();
-    for probe in [[16.0, 0.0], [100.0, -2.0], [1024.0, 7.0], [3.0, 20.0]] {
-        let y = restored.predict(&probe);
-        assert!(y.is_finite());
+    let probes = [
+        [16.0, 0.0],
+        [100.0, -2.0],
+        [1024.0, 7.0],
+        [3.0, 20.0],
+        [40.0, 3.3],
+    ];
+    let mut differs = false;
+    for model in [&zero, &partial] {
+        let bytes = serialize::to_bytes(model);
+        assert_ne!(bytes, bytes_full, "masks must travel on the wire");
+        let restored = serialize::from_bytes(&bytes).unwrap();
+        for probe in probes {
+            let y = restored.predict(&probe);
+            assert!(y.is_finite());
+            assert_eq!(
+                y.to_bits(),
+                model.predict(&probe).to_bits(),
+                "masked model drifted at {probe:?}"
+            );
+            differs |= y.to_bits() != full.predict(&probe).to_bits();
+        }
+        assert_eq!(serialize::to_bytes(&restored), bytes, "re-encode drifted");
+    }
+    assert!(differs, "the probes must tell the mask sets apart");
+    let restored_full = serialize::from_bytes(&bytes_full).unwrap();
+    for probe in probes {
         assert_eq!(
-            y.to_bits(),
+            restored_full.predict(&probe).to_bits(),
             full.predict(&probe).to_bits(),
-            "a loaded model serves the all-observed view at {probe:?}"
+            "all-observed model drifted at {probe:?}"
         );
-        // The zero-observation model itself must also serve (masked
-        // fallback), even though its answers legitimately differ.
-        assert!(zero.predict(&probe).is_finite());
     }
 }
 
@@ -119,4 +146,35 @@ fn max_order_d6_grid_roundtrips() {
         // reader's bake must produce the fast path.
         assert!(restored.plan().has_dense_cache());
     }
+}
+
+/// A model trained on the QR application (tall-skinny `m ≥ n`, so the
+/// training draw leaves some grid rows unobserved) round-trips to
+/// bitwise-identical predictions, masks included. Without its masks —
+/// the same parts with every row observed, as a v2 file decodes — it
+/// would serve something else.
+#[test]
+fn trained_qr_model_roundtrips_with_its_masks() {
+    let qr = QrFactorization::default();
+    let model = CprBuilder::new(qr.space())
+        .fit(&qr.sample_dataset(4096, 5))
+        .unwrap();
+    let restored = serialize::from_bytes(&serialize::to_bytes(&model)).unwrap();
+    let unmasked = CprModel::from_parts_tagged(
+        model.space().clone(),
+        &model.grid().dims(),
+        model.decomposition().clone(),
+        model.optimizer(),
+        model.loss(),
+        model.log_offset(),
+    )
+    .unwrap();
+    let mut differs = 0;
+    let probes = qr.sample_dataset(2000, 6);
+    for (x, _) in probes.iter() {
+        let y = model.predict(x);
+        assert_eq!(restored.predict(x).to_bits(), y.to_bits(), "drift at {x:?}");
+        differs += usize::from(unmasked.predict(x).to_bits() != y.to_bits());
+    }
+    assert!(differs > 0, "the QR fit should leave rows unobserved");
 }

@@ -716,47 +716,92 @@ impl ModelRegistry {
         let groups = group_by_model(queries.iter().map(|(id, _)| id));
         // Validate the whole batch up front: a malformed query must shed
         // the request before any compute, not halfway through.
+        let mut plans = Vec::with_capacity(groups.len());
         for (id, indices) in &groups {
-            let Some(entry) = self.entry(id) else {
-                self.misses.inc();
-                return Err(RegistryError::UnknownModel((**id).clone()));
-            };
-            let plan = entry.plan.load();
-            for &i in indices.iter() {
-                if let Err(e) = Self::validate_query(&plan, queries[i as usize].1.as_ref()) {
-                    self.malformed.inc();
-                    return Err(e);
-                }
-            }
+            let xs = indices.iter().map(|&i| queries[i as usize].1.as_ref());
+            plans.push(self.validated(id, xs)?);
         }
         let mut out = vec![0.0; queries.len()];
         let mut gathered: Vec<&[f64]> = Vec::new();
         let mut scratch: Vec<f64> = Vec::new();
-        for (id, indices) in groups {
-            let Some(entry) = self.entry(id) else {
-                self.misses.inc();
-                return Err(RegistryError::UnknownModel(id.clone()));
-            };
-            self.touch(&entry);
-            let plan = entry.plan.load();
-            for chunk in indices.chunks(DEADLINE_CHECK_CHUNK) {
-                if Instant::now() >= deadline {
-                    self.deadline_shed.inc();
-                    return Err(RegistryError::DeadlineExceeded);
-                }
-                self.count_serve(&plan, chunk.len() as u64);
-                gathered.clear();
-                gathered.extend(chunk.iter().map(|&i| queries[i as usize].1.as_ref()));
-                scratch.clear();
-                scratch.resize(chunk.len(), 0.0);
-                plan.predict_into(&gathered, &mut scratch);
-                for (&i, &y) in chunk.iter().zip(scratch.iter()) {
-                    out[i as usize] = y;
-                }
+        for ((_, indices), (entry, plan)) in groups.iter().zip(&plans) {
+            gathered.clear();
+            gathered.extend(indices.iter().map(|&i| queries[i as usize].1.as_ref()));
+            scratch.clear();
+            scratch.resize(indices.len(), 0.0);
+            self.serve_validated(entry, plan, &gathered, deadline, &mut scratch)?;
+            for (&i, &y) in indices.iter().zip(scratch.iter()) {
+                out[i as usize] = y;
             }
         }
         Self::observe(t, &self.serve_us);
         Ok(out)
+    }
+
+    /// [`Self::serve_batch_deadline`] for queries that all target one
+    /// model: one lookup and no per-query key. The same rules hold — every
+    /// query is validated before any runs, the deadline is re-checked
+    /// between [`DEADLINE_CHECK_CHUNK`]-query chunks, the same counters
+    /// move — and output `i` is bitwise-identical to
+    /// `predict(id, &xs[i])`.
+    pub fn serve_model_deadline<X: AsRef<[f64]> + Sync>(
+        &self,
+        id: &ModelId,
+        xs: &[X],
+        deadline: Instant,
+    ) -> Result<Vec<f64>, RegistryError> {
+        let t = self.timer();
+        let (entry, plan) = self.validated(id, xs.iter().map(AsRef::as_ref))?;
+        let mut out = vec![0.0; xs.len()];
+        self.serve_validated(&entry, &plan, xs, deadline, &mut out)?;
+        Self::observe(t, &self.serve_us);
+        Ok(out)
+    }
+
+    /// Look up `id` and validate every query against its current plan,
+    /// counting a miss or a malformed query. Returns the entry and the
+    /// plan the queries were validated against.
+    fn validated<'q>(
+        &self,
+        id: &ModelId,
+        mut xs: impl Iterator<Item = &'q [f64]>,
+    ) -> Result<(Arc<ServableModel>, Arc<PredictPlan>), RegistryError> {
+        let Some(entry) = self.entry(id) else {
+            self.misses.inc();
+            return Err(RegistryError::UnknownModel(id.clone()));
+        };
+        let plan = entry.plan.load();
+        if let Some(e) = xs.find_map(|x| Self::validate_query(&plan, x).err()) {
+            self.malformed.inc();
+            return Err(e);
+        }
+        Ok((entry, plan))
+    }
+
+    /// Serve validated queries on `plan` in [`DEADLINE_CHECK_CHUNK`]-query
+    /// chunks, checking the deadline before each chunk; an expired
+    /// deadline sheds the rest.
+    fn serve_validated<X: AsRef<[f64]> + Sync>(
+        &self,
+        entry: &ServableModel,
+        plan: &PredictPlan,
+        xs: &[X],
+        deadline: Instant,
+        out: &mut [f64],
+    ) -> Result<(), RegistryError> {
+        self.touch(entry);
+        for (chunk, o) in xs
+            .chunks(DEADLINE_CHECK_CHUNK)
+            .zip(out.chunks_mut(DEADLINE_CHECK_CHUNK))
+        {
+            if Instant::now() >= deadline {
+                self.deadline_shed.inc();
+                return Err(RegistryError::DeadlineExceeded);
+            }
+            self.count_serve(plan, chunk.len() as u64);
+            plan.predict_into(chunk, o);
+        }
+        Ok(())
     }
 
     /// Whether `id` currently serves off a resident dense table.

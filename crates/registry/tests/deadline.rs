@@ -126,6 +126,60 @@ fn unknown_model_is_a_miss_not_a_shed() {
     assert_eq!(stats.malformed, 0);
 }
 
+/// The single-model entry point answers bitwise what the mixed-batch
+/// path and `predict` answer, over several deadline-check chunks, and
+/// keeps the batch rules: validate everything first, shed on an expired
+/// deadline, count a miss for an unknown id — one bucket per call.
+#[test]
+fn single_model_serving_matches_batch_and_keeps_its_rules() {
+    let models = fleet(4, 13);
+    let registry = ModelRegistry::new();
+    load_fleet(&registry, &models);
+    let id = id_of(&models[1]);
+    let xs: Vec<Vec<f64>> = fleet_queries(models.len(), 3 * DEADLINE_CHECK_CHUNK, 17)
+        .into_iter()
+        .map(|(_, x)| x)
+        .collect();
+    let batch: Vec<(ModelId, Vec<f64>)> = xs.iter().map(|x| (id.clone(), x.clone())).collect();
+
+    let before = registry.stats();
+    let single = registry.serve_model_deadline(&id, &xs, generous()).unwrap();
+    let mixed = registry.serve_batch_deadline(&batch, generous()).unwrap();
+    assert_eq!(single.len(), xs.len());
+    for ((a, b), x) in single.iter().zip(&mixed).zip(&xs) {
+        assert_eq!(a.to_bits(), b.to_bits(), "single-model path drifted");
+        assert_eq!(a.to_bits(), registry.predict(&id, x).unwrap().to_bits());
+    }
+    let served = registry.stats();
+    let hits = |s: &cpr_registry::RegistryStats| s.dense_hits + s.gather_hits;
+    assert_eq!(hits(&served), hits(&before) + 3 * xs.len() as u64);
+
+    let mut bad = xs[..8].to_vec();
+    bad[5][0] = f64::NAN;
+    assert!(matches!(
+        registry.serve_model_deadline(&id, &bad, generous()),
+        Err(RegistryError::MalformedQuery(_))
+    ));
+    assert_eq!(
+        registry.serve_model_deadline(&id, &xs, Instant::now()),
+        Err(RegistryError::DeadlineExceeded)
+    );
+    let ghost = ModelId::new("ghost", "nowhere", "time");
+    assert!(matches!(
+        registry.serve_model_deadline(&ghost, &xs, generous()),
+        Err(RegistryError::UnknownModel(_))
+    ));
+    let after = registry.stats();
+    assert_eq!(after.malformed, served.malformed + 1);
+    assert_eq!(after.deadline_shed, served.deadline_shed + 1);
+    assert_eq!(after.misses, served.misses + 1);
+    assert_eq!(
+        hits(&after),
+        hits(&served),
+        "a rejected call served nothing"
+    );
+}
+
 /// Shed-accounting identity under concurrent load: four thread roles
 /// hammer the deadline path (served / expired-deadline / malformed /
 /// unknown-model) while a sampler takes stats snapshots. Every snapshot

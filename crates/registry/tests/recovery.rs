@@ -450,3 +450,51 @@ fn restore_under_readers_never_stops_serving() {
         assert_eq!(registry.predict(&id, x).unwrap().to_bits(), new_bits[i]);
     }
 }
+
+/// A model whose training left grid rows unobserved (its telemetry only
+/// covers `m ≤ 512` of the `m` axis) serves bitwise the same from a restored fleet as from
+/// the registry it was snapshotted from, on both the single and the
+/// batched entry points: its observed-row masks travel with it.
+#[test]
+fn restored_fleet_serves_masked_models_bitwise() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut data = Dataset::new();
+    for _ in 0..400 {
+        let m = 32.0 * 16.0_f64.powf(rng.gen::<f64>());
+        let n = 32.0 * 64.0_f64.powf(rng.gen::<f64>());
+        data.push(vec![m, n], 1e-4 * m.powf(1.3) * n.powf(0.7));
+    }
+    let model = CprBuilder::new(space())
+        .cells_per_dim(6)
+        .rank(2)
+        .fit(&data)
+        .unwrap();
+    let unmasked = cpr_core::CprModel::from_parts(
+        model.space().clone(),
+        &model.grid().dims(),
+        model.decomposition().clone(),
+        model.loss(),
+        model.log_offset(),
+    )
+    .unwrap();
+    let id = ModelId::new("qr", "stampede2", "time");
+    let registry = ModelRegistry::new();
+    registry.insert(id.clone(), model.clone());
+    let store = FleetStore::open(Arc::new(MemFs::new())).unwrap();
+    registry.snapshot_into(&store).unwrap();
+    let restored = ModelRegistry::new();
+    assert_eq!(restored.restore(&store).unwrap().restored, vec![id.clone()]);
+
+    let probes = probe_points(256, 9);
+    let far = std::time::Instant::now() + Duration::from_secs(3600);
+    let batch = restored.serve_model_deadline(&id, &probes, far).unwrap();
+    let mut differs = false;
+    for (x, y) in probes.iter().zip(&batch) {
+        let want = registry.predict(&id, x).unwrap().to_bits();
+        assert_eq!(want, model.predict(x).to_bits());
+        assert_eq!(restored.predict(&id, x).unwrap().to_bits(), want);
+        assert_eq!(y.to_bits(), want);
+        differs |= unmasked.predict(x).to_bits() != want;
+    }
+    assert!(differs, "the fit should leave rows unobserved");
+}

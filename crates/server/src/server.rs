@@ -60,6 +60,7 @@ use cpr_obs::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use cpr_registry::{ModelId, ModelRegistry, RegistryError};
 use cpr_store::FleetStore;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -474,7 +475,6 @@ fn predict(sh: &Shared, head: &RequestHead, path: &str, body: Vec<u8>) -> Routed
         return r;
     }
     let id = ModelId::new(app, machine, metric);
-    let batch: Vec<(ModelId, Vec<f64>)> = queries.into_iter().map(|q| (id.clone(), q)).collect();
 
     // Arrival-ordered index for deterministic fault injection.
     let seq = sh.predict_seq.fetch_add(1, Ordering::SeqCst);
@@ -506,7 +506,7 @@ fn predict(sh: &Shared, head: &RequestHead, path: &str, body: Vec<u8>) -> Routed
             let result = catch_unwind(AssertUnwindSafe(|| {
                 sh.injector.maybe_hold(seq);
                 sh.injector.maybe_panic(seq);
-                sh.registry.serve_batch_deadline(&batch, deadline)
+                sh.registry.serve_model_deadline(&id, &queries, deadline)
             }));
             drop(permit);
             let service_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -528,7 +528,7 @@ fn predict(sh: &Shared, head: &RequestHead, path: &str, body: Vec<u8>) -> Routed
                     for y in preds {
                         // f64 Display round-trips bitwise; the body IS
                         // the registry answer.
-                        out.push_str(&format!("{y}\n"));
+                        writeln!(out, "{y}").expect("writing to a String cannot fail");
                     }
                     let mut r = Routed::plain(Response::new(200, out), Bucket::Accepted);
                     r.service_ms = Some(service_ms);
